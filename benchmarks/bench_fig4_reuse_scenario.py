@@ -6,8 +6,9 @@ share large subexpressions; CloudViews materializes the common fragments
 and rewrites the later plans to scan them (Figure 4b).
 """
 
+from repro.api import Session
 from repro.catalog import schema_of
-from repro.core import CloudViews, MultiLevelControls
+from repro.core import MultiLevelControls
 from repro.plan import ViewScan
 from repro.selection import SelectionPolicy
 
@@ -19,12 +20,12 @@ Q3 = ("SELECT PartType, SUM(Quantity) FROM Sales JOIN Customer JOIN Parts "
       "WHERE MktSegment = 'Asia' GROUP BY PartType")
 
 
-def make_cloudviews():
+def make_session():
     controls = MultiLevelControls()
     controls.enable_vc("analysts")
-    cv = CloudViews(controls=controls,
-                    policy=SelectionPolicy(min_reuses_per_epoch=0.0))
-    engine = cv.engine
+    session = Session(controls=controls,
+                      policy=SelectionPolicy(min_reuses_per_epoch=0.0))
+    engine = session.engine
     engine.register_table(
         schema_of("Sales", [
             ("CustomerId", "int"), ("PartId", "int"), ("Price", "float"),
@@ -42,27 +43,27 @@ def make_cloudviews():
                             ("PartType", "str")]),
         [dict(PartId=i, Brand=f"brand{i % 3}", PartType=f"type{i % 2}")
          for i in range(8)])
-    return cv
+    return session
 
 
 def run_scenario():
-    cv = make_cloudviews()
+    session = make_session()
     # Day 0: the three analysts run their reports; CloudViews observes.
     for template, sql in (("t1", Q1), ("t2", Q2), ("t3", Q3)):
-        cv.run(sql, virtual_cluster="analysts", template_id=template,
-               now=0.0)
-    selection = cv.analyze_and_publish()
+        session.run(sql, virtual_cluster="analysts", template_id=template,
+                    now=0.0)
+    selection = session.analyze_and_publish()
     # Day 0 (later): the recurring reports run again over the same inputs.
-    runs = [cv.run(sql, virtual_cluster="analysts", template_id=template,
-                   now=100.0 + i)
+    runs = [session.run(sql, virtual_cluster="analysts",
+                        template_id=template, now=100.0 + i)
             for i, (template, sql) in enumerate(
                 (("t1", Q1), ("t2", Q2), ("t3", Q3)))]
-    return cv, selection, runs
+    return session, selection, runs
 
 
 def test_fig4_analyst_reuse(benchmark):
-    cv, selection, runs = benchmark.pedantic(run_scenario, rounds=1,
-                                             iterations=1)
+    session, selection, runs = benchmark.pedantic(run_scenario, rounds=1,
+                                                  iterations=1)
     r1, r2, r3 = runs
 
     print("\nFigure 4: three analysts, shared Asia-segment fragments")
@@ -76,7 +77,7 @@ def test_fig4_analyst_reuse(benchmark):
 
     # The common computation was selected and materialized once...
     assert selection.selected
-    assert cv.views_created >= 1
+    assert session.views_created >= 1
     # ...and at least the later analysts' plans were rewritten to scan it
     # (Figure 4b: CloudView boxes replace the shared subplans).
     assert r2.compiled.reused_views + r3.compiled.reused_views >= 2
@@ -85,5 +86,6 @@ def test_fig4_analyst_reuse(benchmark):
 
     # Correctness: identical answers to a reuse-free engine.
     for sql, run in ((Q1, r1), (Q2, r2), (Q3, r3)):
-        clean = cv.engine.run_sql(sql, reuse_enabled=False, now=200.0)
+        clean = session.engine.run_sql(sql, reuse_enabled=False, now=200.0)
         assert sorted(map(repr, run.rows)) == sorted(map(repr, clean.rows))
+    session.close()

@@ -15,16 +15,16 @@ submission) a :class:`~repro.scheduler.scheduler.JobScheduler`::
         results = session.run_batch([sql_a, sql_b, sql_c], now=100.0)
 
 Every entry point returns the same :class:`JobResult` dataclass, whether
-the job ran serially, concurrently, or failed.  The older layered entry
-points (``repro.ScopeEngine``, ``repro.CloudViews``, ...) remain
-available from their canonical modules; the top-level ``repro``
-re-exports carry deprecation shims pointing here.
+the job ran serially, concurrently, or failed.  Ingestion, the reuse gate
+and selection epochs are the :class:`~repro.core.runner.FeedbackLoop`
+that both workload simulations share; the layered classes underneath
+(:class:`~repro.engine.engine.ScopeEngine`, ...) stay importable from
+their own modules.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.backends.base import ExecutionBackend, create_backend
@@ -32,14 +32,10 @@ from repro.catalog.schema import TableSchema
 from repro.common.errors import ReproError
 from repro.config import SessionConfig
 from repro.core.controls import MultiLevelControls
-from repro.core.runner import record_job_into
+from repro.core.runner import FeedbackLoop
 from repro.engine.engine import EngineConfig, ScopeEngine
 from repro.faults import FaultPlan, FaultRuntime, resolve_faults
-from repro.insights.client import (
-    FaultInjector,
-    InsightsClient,
-    InsightsClientConfig,
-)
+from repro.insights.client import InsightsClient, InsightsClientConfig
 from repro.insights.service import InsightsService
 from repro.lifecycle.manager import LifecycleConfig, LifecycleManager
 from repro.plan.expressions import Row
@@ -49,20 +45,17 @@ from repro.scheduler.scheduler import (
     JobScheduler,
     SchedulerConfig,
 )
-from repro.selection.candidates import build_candidates
 from repro.selection.policies import SelectionPolicy, SelectionResult
-from repro.selection.registry import run_selection, validate_selection_algorithm
 from repro.shard.journal import ShardedCatalogJournal
 from repro.shard.router import ShardRouter
 from repro.shard.supervisor import ShardConfig, ShardSupervisor
-from repro.workload.repository import WorkloadRepository
 
 __all__ = [
     "Session", "SessionConfig",
     "JobResult", "JobRequest",
     "EngineConfig", "SchedulerConfig", "InsightsClientConfig",
     "LifecycleConfig",
-    "FaultInjector", "FaultPlan", "FaultRuntime",
+    "FaultPlan", "FaultRuntime",
     "SelectionPolicy", "MultiLevelControls",
     "ShardConfig",
 ]
@@ -80,8 +73,8 @@ class Session:
     signatures, matching, and insights stay backend-invariant above it.
     By default the engine talks to its insights service through an
     :class:`InsightsClient` (request batching, TTL cache, retries,
-    circuit breaker); pass ``client_config``/``fault_injector`` to tune
-    or perturb that path.
+    circuit breaker); pass ``client_config`` to tune that path and
+    ``faults`` to perturb it.
 
     ``faults`` installs the unified fault-injection framework
     (:mod:`repro.faults`): a :class:`~repro.faults.FaultPlan`, a
@@ -100,7 +93,6 @@ class Session:
                  engine_config: Optional[EngineConfig] = None,
                  scheduler_config: Optional[SchedulerConfig] = None,
                  client_config: Optional[InsightsClientConfig] = None,
-                 fault_injector: Optional[FaultInjector] = None,
                  controls: Optional[MultiLevelControls] = None,
                  policy: Optional[SelectionPolicy] = None,
                  selection_algorithm: Optional[str] = None,
@@ -129,7 +121,6 @@ class Session:
         elif isinstance(backend, str):
             backend = create_backend(
                 backend, sqlite_path=self.config.sqlite_path)
-        validate_selection_algorithm(selection_algorithm)
         # shards > 0 swaps the in-process service for the multi-process
         # deployment: worker processes behind a router that presents the
         # same service surface, so nothing downstream changes.
@@ -156,8 +147,7 @@ class Session:
                     self.service, directory=shard_config.journal_dir)
         else:
             self.service = InsightsService()
-        self.insights = InsightsClient(
-            self.service, config=client_config, injector=fault_injector)
+        self.insights = InsightsClient(self.service, config=client_config)
         # One shared runtime behind every seam: a single seed then
         # reproduces the whole failure scenario across layers.
         backend.faults = self.faults
@@ -165,19 +155,24 @@ class Session:
         self.engine = ScopeEngine(
             insights=self.insights, config=engine_config, backend=backend)
         self.controls = controls or MultiLevelControls()
-        self.policy = policy or SelectionPolicy()
-        self.selection_algorithm = selection_algorithm
+        try:
+            self.loop = FeedbackLoop(
+                self.engine, policy=policy or SelectionPolicy(),
+                selection_algorithm=selection_algorithm,
+                controls=self.controls)
+        except BaseException:  # an unknown algorithm: undo the wiring
+            backend.close()
+            self._close_shards()
+            raise
+        self.repository = self.loop.repository
+        self.last_selection: Optional[SelectionResult] = None
         self.scheduler = JobScheduler(
             self.engine,
             scheduler_config or SchedulerConfig(),
-            reuse_gate=self._reuse_gate,
+            reuse_gate=self.loop.reuse_gate,
         )
         self.scheduler.faults = self.faults
         self.backend = backend
-        self.repository = WorkloadRepository()
-        self.last_selection: Optional[SelectionResult] = None
-        self._full_work: Dict[str, float] = {}
-        self._template_counter = itertools.count(1)
         if recorder is not None:
             recorder.install(self.engine)
             self.scheduler.recorder = recorder
@@ -198,13 +193,6 @@ class Session:
     # ------------------------------------------------------------------ #
     # running jobs
 
-    def _reuse_gate(self, virtual_cluster: str,
-                    job_override: Optional[bool] = None) -> bool:
-        return self.controls.enabled_for(
-            virtual_cluster,
-            job_override=job_override,
-            service_enabled=self.insights.enabled)
-
     def run(self, sql: str, *,
             params: Optional[Dict[str, object]] = None,
             virtual_cluster: str = "default",
@@ -217,11 +205,13 @@ class Session:
         Unlike batch submission, a failure here raises (the caller asked
         for this one job synchronously and should see the error).
         """
-        reuse = self._reuse_gate(virtual_cluster, job_override=reuse_override)
+        reuse = self.loop.reuse_gate(virtual_cluster,
+                                     job_override=reuse_override)
         run = self.engine.run_sql(
             sql, params=params, virtual_cluster=virtual_cluster,
             reuse_enabled=reuse, now=now)
-        self._ingest(run, template_id=template_id, pipeline_id=pipeline_id)
+        self.loop.ingest(run, template_id=template_id,
+                         pipeline_id=pipeline_id)
         return JobResult.from_run(run)
 
     def run_batch(self,
@@ -238,30 +228,16 @@ class Session:
         """
         requests = [job if isinstance(job, JobRequest) else JobRequest(sql=job)
                     for job in jobs]
-        identities: Dict[str, JobRequest] = {}
         for request in requests:
             if request.job_id is None:
                 request.job_id = self.engine.next_job_id()
-            identities[request.job_id] = request
-        def ingest(run) -> None:
-            request = identities.get(run.compiled.job_id)
-            self._ingest(
-                run,
-                template_id=request.template_id if request else "",
-                pipeline_id=request.pipeline_id if request else "")
-        return self.scheduler.run_batch(requests, now=now, on_run=ingest)
+        identities = {request.job_id: request for request in requests}
 
-    def _ingest(self, run, template_id: str = "",
-                pipeline_id: str = "") -> None:
-        record_job_into(
-            self.repository, run, run.compiled.submitted_at,
-            virtual_cluster=run.compiled.virtual_cluster,
-            template_id=(template_id
-                         or f"adhoc-{next(self._template_counter)}"),
-            pipeline_id=pipeline_id,
-            salt=self.engine.signature_salt,
-            full_work=self._full_work,
-        )
+        def ingest(run) -> None:
+            request = identities[run.compiled.job_id]
+            self.loop.ingest(run, template_id=request.template_id,
+                             pipeline_id=request.pipeline_id)
+        return self.scheduler.run_batch(requests, now=now, on_run=ingest)
 
     # ------------------------------------------------------------------ #
     # the feedback loop
@@ -270,19 +246,28 @@ class Session:
                             window_start: Optional[float] = None,
                             window_end: Optional[float] = None
                             ) -> SelectionResult:
-        """Workload analysis -> view selection -> insights publication."""
-        repository = self.repository.for_runtime(self.engine.runtime_version)
-        if window_start is not None or window_end is not None:
-            repository = repository.window(
-                window_start if window_start is not None else float("-inf"),
-                window_end if window_end is not None else float("inf"))
-        candidates = build_candidates(repository)
-        result = run_selection(
-            self.selection_algorithm, repository, candidates, self.policy,
-            recorder=self.engine.recorder)
-        self.insights.publish(result.annotations())
-        self.last_selection = result
-        return result
+        """Workload analysis -> view selection -> insights publication.
+
+        One :meth:`FeedbackLoop.select` epoch over the jobs submitted in
+        ``[window_start, window_end)`` (unbounded by default) under the
+        current runtime version.
+        """
+        self.last_selection = self.loop.select(window_start, window_end)
+        return self.last_selection
+
+    def handle_runtime_upgrade(self, version: str) -> None:
+        """Roll the engine to a new runtime version.
+
+        All published annotations are withdrawn immediately (their salted
+        signatures can no longer match), and the next
+        :meth:`analyze_and_publish` re-runs the workload analysis over
+        jobs observed under the new runtime -- the Section-4 recipe:
+        "we need to keep track of changes that can affect signatures and
+        re-run any prior workload analysis."
+        """
+        self.engine.set_runtime_version(version)
+        self.insights.publish([])
+        self.last_selection = None
 
     # ------------------------------------------------------------------ #
     # operational surface
@@ -297,6 +282,21 @@ class Session:
 
     def catalog_digest(self) -> str:
         return self.engine.view_store.catalog_digest()
+
+    def purge_view(self, strict_signature: str) -> None:
+        """User-initiated purge of a view's files (Section 2.4).
+
+        Purging only the catalog entry would leave two things behind: the
+        insights-service view lock (its builder will never come back to
+        release it) and the published annotation (which would drive a
+        pointless immediate rebuild of a view the user just deleted).
+        Release the lock and retract the annotation along with the purge.
+        """
+        view = self.engine.view_store.get(strict_signature)
+        if view is not None and view.recurring_signature:
+            self.insights.retract([view.recurring_signature])
+        self.insights.force_release_lock(strict_signature)
+        self.engine.view_store.purge(strict_signature)
 
     def evict_expired(self, now: float) -> int:
         return len(self.engine.view_store.evict_expired(now))
@@ -324,8 +324,7 @@ class Session:
     def _close_shards(self) -> None:
         if self.supervisor is None:
             return
-        if isinstance(self.service, ShardRouter):
-            self.service.close()
+        self.service.close()  # the router in front of the supervisor
         self.supervisor.close()
 
     def __enter__(self) -> "Session":

@@ -1,8 +1,8 @@
-"""CloudViews core: the manager, controls, and the workload simulation."""
+"""CloudViews core: the feedback loop, controls, and the workload simulation."""
 
-from repro.core.cloudviews import CloudViews
 from repro.core.controls import DeploymentMode, MultiLevelControls
 from repro.core.runner import (
+    FeedbackLoop,
     SimulationConfig,
     SimulationReport,
     WorkloadSimulation,
@@ -10,7 +10,7 @@ from repro.core.runner import (
 )
 
 __all__ = [
-    "CloudViews", "DeploymentMode", "MultiLevelControls",
+    "DeploymentMode", "FeedbackLoop", "MultiLevelControls",
     "SimulationConfig", "SimulationReport", "WorkloadSimulation",
     "record_job_into",
 ]

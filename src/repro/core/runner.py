@@ -7,9 +7,9 @@ This is the experiment harness behind the paper's production numbers
 * at each day boundary the cooking pipelines regenerate the shared fact
   streams (bulk updates -> new GUIDs -> old views go stale) and expired
   views are evicted;
-* periodically, the CloudViews feedback loop re-runs workload analysis and
-  view selection over the trailing window and publishes fresh annotations
-  to the insights service;
+* after a one-day warm-up, the :class:`FeedbackLoop` re-runs workload
+  analysis and view selection over the trailing three days at every
+  midnight and publishes fresh annotations to the insights service;
 * every job submission compiles against the engine *at its simulated
   arrival time* (so view visibility is temporally honest), row-executes to
   obtain observed statistics, and is then scheduled on the cluster
@@ -22,8 +22,9 @@ paper's baseline-vs-CloudViews comparisons.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.simulator import (
     ClusterSimulator,
@@ -58,34 +59,43 @@ from repro.workload.repository import (
 )
 
 
-@dataclass
-class SimulationConfig:
-    """Knobs for one simulated deployment window."""
+@dataclass(kw_only=True)
+class BaseSimulationConfig:
+    """Knobs both workload simulations share."""
 
     days: int = 7
     cloudviews_enabled: bool = True
-    total_containers: int = 60
-    vc_quota: int = 10
-    work_rate: float = 30.0
-    container_startup: float = 2.0
     selection_algorithm: str = "bigsubs"
     policy: SelectionPolicy = field(default_factory=lambda: SelectionPolicy(
         storage_budget_bytes=50_000_000,
         materialization_lag_seconds=150.0,
         min_reuses_per_epoch=2.0,
     ))
-    warmup_days: int = 1          # observe before the first selection
-    reselect_every_days: int = 1  # feedback-loop cadence
-    selection_window_days: int = 3
-    rows_per_partition: float = 15.0
-    max_partitions: int = 96
-    vc_job_slots: int = 3
-    job_overhead_seconds: float = 45.0
     #: View TTL in simulated seconds (``repro simulate --view-ttl``);
     #: ``None`` keeps the engine default (one week, §3.1).
     view_ttl_seconds: Optional[float] = None
     #: Execution backend name (``repro simulate --backend``).
     backend: str = "memory"
+
+    def engine_config(self) -> EngineConfig:
+        config = EngineConfig()
+        if self.view_ttl_seconds is not None:
+            config.view_ttl_seconds = self.view_ttl_seconds
+        return config
+
+
+@dataclass(kw_only=True)
+class SimulationConfig(BaseSimulationConfig):
+    """Knobs for one simulated deployment window."""
+
+    total_containers: int = 60
+    vc_quota: int = 10
+    work_rate: float = 30.0
+    container_startup: float = 2.0
+    rows_per_partition: float = 15.0
+    max_partitions: int = 96
+    vc_job_slots: int = 3
+    job_overhead_seconds: float = 45.0
 
 
 @dataclass
@@ -126,22 +136,17 @@ class WorkloadSimulation:
     """Drives one workload through one configuration."""
 
     def __init__(self, workload: CookingWorkload, config: SimulationConfig,
-                 engine: Optional[ScopeEngine] = None,
                  controls: Optional[MultiLevelControls] = None,
                  on_day_boundary=None,
                  monitor=None,
                  recorder=None):
         self.workload = workload
         self.config = config
-        if engine is None:
-            engine_config = EngineConfig()
-            if config.view_ttl_seconds is not None:
-                engine_config.view_ttl_seconds = config.view_ttl_seconds
-            from repro.backends import create_backend
-            engine = ScopeEngine(config=engine_config,
-                                 backend=create_backend(config.backend))
-        self.engine = engine
-        self.controls = controls
+        from repro.backends import create_backend
+        # The raw insights service, not the client: its compile latencies
+        # are the ones the Table-1 numbers are built on.
+        self.engine = ScopeEngine(config=config.engine_config(),
+                                  backend=create_backend(config.backend))
         #: Flight recorder for the whole feedback loop.  Installing it
         #: here wires the engine, insights service, and view store; the
         #: cluster simulator drives its simulated clock.  ``None`` keeps
@@ -149,6 +154,10 @@ class WorkloadSimulation:
         self.recorder = recorder or NULL_RECORDER
         if recorder is not None:
             recorder.install(self.engine)
+        self.loop = FeedbackLoop(
+            self.engine, policy=config.policy,
+            selection_algorithm=config.selection_algorithm,
+            controls=controls, enabled=config.cloudviews_enabled)
         #: Optional hook called as ``on_day_boundary(day, simulation)`` at
         #: each simulated midnight, after cooking/eviction and before
         #: reselection -- used for deployment scenarios such as the
@@ -158,10 +167,6 @@ class WorkloadSimulation:
         #: provided, every compiled job is surfaced to it (Figure 5's
         #: query-monitoring tool).
         self.monitor = monitor
-        self.repository = WorkloadRepository()
-        self.selections: List[SelectionResult] = []
-        self._full_work: Dict[str, float] = {}
-        validate_selection_algorithm(config.selection_algorithm)
 
     # ------------------------------------------------------------------ #
     # top level
@@ -191,71 +196,28 @@ class WorkloadSimulation:
         return SimulationReport(
             config=self.config,
             telemetry=telemetry,
-            repository=self.repository,
+            repository=self.loop.repository,
             views_created=self.engine.view_store.total_created,
             views_reused=self.engine.view_store.total_reused,
-            selections=self.selections,
+            selections=self.loop.selections,
         )
-
-    # ------------------------------------------------------------------ #
-    # day boundary: cooking, eviction, feedback loop
 
     def _day_boundary(self, day: int, now: float) -> None:
-        self.workload.cook(self.engine, day)
-        self.engine.view_store.evict_expired(now)
-        if self.on_day_boundary is not None:
-            self.on_day_boundary(day, self)
-        if not self.config.cloudviews_enabled:
-            return None
-        if day < self.config.warmup_days:
-            return None
-        if (day - self.config.warmup_days) % self.config.reselect_every_days:
-            return None
-        self._reselect(now)
-        return None
-
-    def _reselect(self, now: float) -> None:
-        epoch_id = f"epoch-{len(self.selections) + 1}"
-        epoch_span = self.recorder.start_span(
-            "selection.epoch", trace_id=epoch_id, at=now,
-            algorithm=self.config.selection_algorithm)
-        window_start = now - self.config.selection_window_days * SECONDS_PER_DAY
-        window = self.repository.window(window_start, now)
-        candidates = build_candidates(window)
-        result = run_selection(
-            self.config.selection_algorithm, window, candidates,
-            self.config.policy, recorder=self.recorder)
-        published = self.engine.insights.publish(result.annotations())
-        self.selections.append(result)
-        epoch_span.annotate("selected", len(result.selected))
-        epoch_span.annotate("published", published)
-        epoch_span.finish(at=now)
-        self.recorder.event(
-            obs_events.SELECTION_EPOCH, at=now, job_id=epoch_id,
-            algorithm=self.config.selection_algorithm,
-            considered=result.considered,
-            selected=len(result.selected),
-            rejected_by_budget=result.rejected_by_budget,
-            rejected_by_schedule=result.rejected_by_schedule,
-            storage_used=result.storage_used,
-            published=published,
-        )
+        hook = self.on_day_boundary
+        self.loop.day_boundary(
+            self.workload, day, now,
+            before_selection=None if hook is None else lambda: hook(day, self))
 
     # ------------------------------------------------------------------ #
     # per-job launch (compile at arrival time)
 
     def _launch(self, instance: JobInstance, now: float) -> Optional[SimulatedJob]:
         template = instance.template
-        reuse = self.config.cloudviews_enabled
-        if reuse and self.controls is not None:
-            reuse = self.controls.enabled_for(
-                template.virtual_cluster,
-                service_enabled=self.engine.insights.enabled)
         compiled = self.engine.compile(
             template.sql,
             params=instance.params,
             virtual_cluster=template.virtual_cluster,
-            reuse_enabled=reuse,
+            reuse_enabled=self.loop.reuse_gate(template.virtual_cluster),
             now=now,
         )
         run = self.engine.execute(compiled, now=now, seal_views=False)
@@ -265,7 +227,8 @@ class WorkloadSimulation:
             # view.sealed events through the flight recorder's log.
             self.monitor.observe_compile(compiled, at=now)
             self.monitor.observe_run(run)
-        self._record(template, compiled.job_id, now, run)
+        self.loop.ingest(run, template_id=template.template_id,
+                         pipeline_id=template.pipeline_id)
 
         estimator = CardinalityEstimator(
             self.engine.catalog, history=None,
@@ -292,18 +255,115 @@ class WorkloadSimulation:
             on_spool_sealed=seal,
         )
 
-    # ------------------------------------------------------------------ #
-    # repository ingestion
 
-    def _record(self, template, job_id: str, now: float, run: JobRun) -> None:
+#: Feedback-loop cadence of both simulations: observe for one day, then
+#: reselect at every simulated midnight over the trailing three days.
+WARMUP_DAYS = 1
+RESELECT_EVERY_DAYS = 1
+SELECTION_WINDOW_DAYS = 3
+
+
+class FeedbackLoop:
+    """The Figure-5 loop around one engine: :class:`WorkloadSimulation`,
+    :class:`~repro.scheduler.simulation.ConcurrentSimulation` and
+    :class:`repro.api.Session` all run through it.
+
+    Executed jobs are ingested into the workload repository; a selection
+    epoch selects views over a window of it and publishes them to the
+    engine's insights service.  ``controls=None`` turns reuse on in every
+    virtual cluster; ``enabled=False`` turns reuse and epochs off.
+    """
+
+    def __init__(self, engine: ScopeEngine, *,
+                 policy: SelectionPolicy,
+                 selection_algorithm: str,
+                 controls: Optional[MultiLevelControls] = None,
+                 enabled: bool = True):
+        validate_selection_algorithm(selection_algorithm)
+        self.engine = engine
+        self.policy = policy
+        self.selection_algorithm = selection_algorithm
+        self.controls = controls
+        self.enabled = enabled
+        self.repository = WorkloadRepository()
+        self.selections: List[SelectionResult] = []
+        self._full_work: Dict[str, float] = {}
+        self._adhoc_ids = itertools.count(1)
+
+    def reuse_gate(self, virtual_cluster: str,
+                   job_override: Optional[bool] = None) -> bool:
+        """May this job build or reuse views?  An override only disables."""
+        if not self.enabled:
+            return False
+        if self.controls is None:
+            return job_override is not False
+        return self.controls.enabled_for(
+            virtual_cluster, job_override=job_override,
+            service_enabled=self.engine.insights.enabled)
+
+    def ingest(self, run: JobRun, template_id: str = "",
+               pipeline_id: str = "") -> None:
+        """Record one executed job; no template id makes it ad hoc."""
+        compiled = run.compiled
         record_job_into(
-            self.repository, run, now,
-            virtual_cluster=template.virtual_cluster,
-            template_id=template.template_id,
-            pipeline_id=template.pipeline_id,
+            self.repository, run, compiled.submitted_at,
+            virtual_cluster=compiled.virtual_cluster,
+            template_id=template_id or f"adhoc-{next(self._adhoc_ids)}",
+            pipeline_id=pipeline_id,
             salt=self.engine.signature_salt,
             full_work=self._full_work,
         )
+
+    def day_boundary(self, workload: CookingWorkload, day: int, now: float,
+                     before_selection: Optional[Callable[[], None]] = None
+                     ) -> None:
+        """Midnight: cook the day's streams, evict expired views, then
+        (after the warm-up) run a selection epoch over the trailing
+        window.  ``before_selection`` runs between the two."""
+        workload.cook(self.engine, day)
+        self.engine.view_store.evict_expired(now)
+        if before_selection is not None:
+            before_selection()
+        if (self.enabled and day >= WARMUP_DAYS
+                and (day - WARMUP_DAYS) % RESELECT_EVERY_DAYS == 0):
+            self.select(now - SELECTION_WINDOW_DAYS * SECONDS_PER_DAY, now)
+
+    def select(self, window_start: Optional[float] = None,
+               window_end: Optional[float] = None) -> SelectionResult:
+        """One epoch: select over the jobs submitted in ``[window_start,
+        window_end)`` under the current runtime (older runtimes'
+        signatures match nothing, Section 4), then publish.  The epoch is
+        stamped at ``window_end``, or else at the recorder's clock."""
+        recorder = self.engine.recorder
+        now = recorder.now if window_end is None else window_end
+        epoch_id = f"epoch-{len(self.selections) + 1}"
+        epoch_span = recorder.start_span(
+            "selection.epoch", trace_id=epoch_id, at=now,
+            algorithm=self.selection_algorithm)
+        repository = self.repository.window(
+            float("-inf") if window_start is None else window_start,
+            float("inf") if window_end is None else window_end,
+        ).for_runtime(self.engine.runtime_version)
+        candidates = build_candidates(repository)
+        result = run_selection(
+            self.selection_algorithm, repository, candidates, self.policy,
+            recorder=recorder)
+        published = self.engine.insights.publish(result.annotations())
+        self.selections.append(result)
+        epoch_span.annotate("selected", len(result.selected))
+        epoch_span.annotate("published", published)
+        epoch_span.finish(at=now)
+        recorder.event(
+            obs_events.SELECTION_EPOCH, at=now, job_id=epoch_id,
+            algorithm=self.selection_algorithm,
+            considered=result.considered,
+            selected=len(result.selected),
+            rejected_by_budget=result.rejected_by_budget,
+            rejected_by_schedule=result.rejected_by_schedule,
+            storage_used=result.storage_used,
+            published=published,
+        )
+        return result
 
 
 def record_job_into(repository: WorkloadRepository, run: JobRun, now: float,

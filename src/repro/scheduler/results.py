@@ -1,7 +1,7 @@
 """The unified job result type of the public API.
 
 Historically ``Engine.compile`` returned a :class:`CompiledJob`,
-``Engine.execute`` / ``CloudViews.run`` a :class:`JobRun`, and callers dug
+``Engine.execute`` a :class:`JobRun`, and callers dug
 through ``run.result.rows`` / ``run.compiled.optimized`` ad hoc.
 :class:`JobResult` flattens the fields users actually consume into one
 stable dataclass, shared by ``repro.api.Session.run`` and the concurrent

@@ -1,8 +1,8 @@
 """Selector registry: one place mapping algorithm names to entry points.
 
-``CloudViews``, the workload simulations, and the ``repro.api`` facade all
-accept a ``selection_algorithm`` string; this module owns the mapping so
-they agree on the vocabulary and on the error raised for an unknown name.
+:class:`~repro.core.runner.FeedbackLoop` takes a ``selection_algorithm``
+string; this module owns the mapping so every caller agrees on the
+vocabulary and on the error raised for an unknown name.
 """
 
 from __future__ import annotations

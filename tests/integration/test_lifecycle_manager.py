@@ -9,9 +9,10 @@ catalog digest exactly).
 
 import pytest
 
+from repro.api import Session
 from repro.catalog import schema_of
 from repro.cli import main
-from repro.core import CloudViews, MultiLevelControls
+from repro.core import MultiLevelControls
 from repro.lifecycle import LifecycleConfig, LifecycleManager
 from repro.plan.logical import Scan, ViewScan
 from repro.selection import SelectionPolicy
@@ -27,45 +28,48 @@ QE = ("SELECT Day, COUNT(*) AS n FROM Events WHERE Day = @run "
 PARAMS = {"run": "d0"}
 
 
-def make_cloudviews():
+def make_session():
     controls = MultiLevelControls()
     controls.enable_vc("vc1")
-    cv = CloudViews(
+    session = Session(
         controls=controls,
         policy=SelectionPolicy(storage_budget_bytes=10_000_000,
                                min_reuses_per_epoch=0.0),
         selection_algorithm="bigsubs",
     )
-    cv.engine.register_table(
+    session.engine.register_table(
         schema_of("Events", [("UserId", "int"), ("Day", "str"),
                              ("Value", "float")]),
         [dict(UserId=i % 7, Day="d0", Value=float(i)) for i in range(80)])
-    cv.engine.register_table(
+    session.engine.register_table(
         schema_of("Users", [("UserId", "int"), ("Segment", "str")]),
         [dict(UserId=i, Segment="Asia" if i % 2 else "Europe")
          for i in range(7)])
-    return cv
+    return session
 
 
 @pytest.fixture
 def managed(tmp_path):
-    cv = make_cloudviews()
+    session = make_session()
     manager = LifecycleManager(
-        cv.engine, LifecycleConfig(journal_dir=str(tmp_path / "journal")))
-    yield cv, manager
+        session.engine, LifecycleConfig(journal_dir=str(tmp_path / "journal")))
+    yield session, manager
     manager.close()
+    session.close()
 
 
-def build_views(cv, queries=(Q1, Q2), start=0.0):
+def build_views(session, queries=(Q1, Q2), start=0.0):
     """One full feedback-loop round: observe, publish, materialize."""
     now = start
     for i, sql in enumerate(queries, start=1):
-        cv.run(sql, PARAMS, "vc1", template_id=f"t{i}", now=now)
+        session.run(sql, params=PARAMS, virtual_cluster="vc1",
+                    template_id=f"t{i}", now=now)
         now += 1.0
-    cv.analyze_and_publish()
+    session.analyze_and_publish()
     now += 10.0
     for i, sql in enumerate(queries, start=1):
-        cv.run(sql, PARAMS, "vc1", template_id=f"t{i}", now=now)
+        session.run(sql, params=PARAMS, virtual_cluster="vc1",
+                    template_id=f"t{i}", now=now)
         now += 1.0
     return now
 
@@ -95,31 +99,31 @@ def sealed_views(store):
 
 class TestLineageCapture:
     def test_built_views_have_recorded_lineage(self, managed):
-        cv, manager = managed
-        build_views(cv)
-        views = sealed_views(cv.engine.view_store)
+        session, manager = managed
+        build_views(session)
+        views = sealed_views(session.engine.view_store)
         assert views
         for view in views:
             assert manager.lineage.has(view.signature)
             recorded = {d for d, _ in manager.lineage.inputs_of(
                 view.signature)}
-            assert recorded == dataset_closure(view, cv.engine.view_store)
+            assert recorded == dataset_closure(view, session.engine.view_store)
 
     def test_lineage_guid_matches_catalog(self, managed):
-        cv, manager = managed
-        build_views(cv)
-        events_guid = cv.engine.catalog.current_guid("Events")
+        session, manager = managed
+        build_views(session)
+        events_guid = session.engine.catalog.current_guid("Events")
         assert manager.lineage.views_reading_guid(events_guid) \
             == manager.lineage.views_reading_dataset("Events")
 
 
 class TestGdprForget:
     def test_purges_all_and_only_dependents_of_the_stream(self, managed):
-        cv, manager = managed
+        session, manager = managed
         # QE rides under two templates so its Events-only subexpression
         # recurs and gets selected alongside the Events-Users join.
-        build_views(cv, queries=(Q1, Q2, QE, QE))
-        store = cv.engine.view_store
+        build_views(session, queries=(Q1, Q2, QE, QE))
+        store = session.engine.view_store
         before = sealed_views(store)
         # Independent ground truth: walk every view's logical plan.
         expected = {v.signature for v in before
@@ -137,41 +141,42 @@ class TestGdprForget:
             assert not store.get(signature).purged
 
     def test_forget_bumps_insights_generation(self, managed):
-        cv, manager = managed
-        build_views(cv)
-        generation = cv.engine.insights.generation
+        session, manager = managed
+        build_views(session)
+        generation = session.engine.insights.generation
         assert manager.forget_stream("Users", at=100.0) > 0
-        assert cv.engine.insights.generation > generation
+        assert session.engine.insights.generation > generation
 
     def test_engine_gdpr_forget_triggers_the_same_cascade(self, managed):
-        cv, manager = managed
-        build_views(cv)
-        store = cv.engine.view_store
+        session, manager = managed
+        build_views(session)
+        store = session.engine.view_store
         dependents = manager.lineage.views_reading_dataset("Users")
         assert dependents
-        cv.engine.gdpr_forget("Users", lambda row: row["UserId"] != 3,
+        session.engine.gdpr_forget("Users", lambda row: row["UserId"] != 3,
                               at=100.0)
         for signature in dependents:
             assert store.get(signature).purged
 
     def test_rebuilt_views_reflect_forgotten_rows(self, managed):
-        cv, manager = managed
-        build_views(cv)
-        cv.engine.gdpr_forget("Users", lambda row: row["UserId"] != 1,
+        session, manager = managed
+        build_views(session)
+        session.engine.gdpr_forget("Users", lambda row: row["UserId"] != 1,
                               at=100.0)
         # Next round rebuilds over the new stream; user 1 is gone.
-        run = cv.run(Q1, PARAMS, "vc1", template_id="t1", now=110.0)
+        run = session.run(Q1, params=PARAMS, virtual_cluster="vc1",
+                          template_id="t1", now=110.0)
         assert all(row["UserId"] != 1 for row in run.rows)
 
 
 class TestBulkUpdateCascade:
     def test_stale_guid_dependents_are_purged(self, managed):
-        cv, manager = managed
-        build_views(cv)
-        store = cv.engine.view_store
+        session, manager = managed
+        build_views(session)
+        store = session.engine.view_store
         dependents = manager.lineage.views_reading_dataset("Events")
         assert dependents
-        cv.engine.bulk_update(
+        session.engine.bulk_update(
             "Events",
             [dict(UserId=i % 7, Day="d0", Value=1.0) for i in range(40)],
             at=100.0)
@@ -180,56 +185,58 @@ class TestBulkUpdateCascade:
         assert manager.cascades >= 1
 
     def test_purged_views_no_longer_match(self, managed):
-        cv, manager = managed
-        build_views(cv)
-        reused_before = cv.engine.view_store.counters()["total_reused"]
-        cv.engine.bulk_update(
+        session, manager = managed
+        build_views(session)
+        reused_before = session.engine.view_store.counters()["total_reused"]
+        session.engine.bulk_update(
             "Events",
             [dict(UserId=i % 7, Day="d0", Value=1.0) for i in range(40)],
             at=100.0)
-        run = cv.run(Q1, PARAMS, "vc1", template_id="t1", now=110.0)
+        run = session.run(Q1, params=PARAMS, virtual_cluster="vc1",
+                          template_id="t1", now=110.0)
         assert run.compiled.reused_views == 0
-        assert cv.engine.view_store.counters()["total_reused"] \
+        assert session.engine.view_store.counters()["total_reused"] \
             == reused_before
 
 
 class TestEpochBump:
     def test_bump_darkens_everything(self, managed):
-        cv, manager = managed
-        build_views(cv)
-        assert cv.engine.insights.annotation_count() > 0
-        old_version = cv.engine.runtime_version
+        session, manager = managed
+        build_views(session)
+        assert session.engine.insights.annotation_count() > 0
+        old_version = session.engine.runtime_version
 
         version = manager.bump_epoch(at=100.0)
 
-        assert cv.engine.runtime_version == version != old_version
+        assert session.engine.runtime_version == version != old_version
         assert manager.epoch == 1
-        assert cv.engine.insights.annotation_count() == 0
-        assert all(v.purged for v in cv.engine.view_store.views())
+        assert session.engine.insights.annotation_count() == 0
+        assert all(v.purged for v in session.engine.view_store.views())
 
     def test_loop_recovers_after_bump(self, managed):
-        cv, manager = managed
-        build_views(cv)
+        session, manager = managed
+        build_views(session)
         manager.bump_epoch(at=100.0)
         # The feedback loop re-selects and rebuilds under the new salt.
-        end = build_views(cv, start=200.0)
-        run = cv.run(Q1, PARAMS, "vc1", template_id="t1", now=end)
+        end = build_views(session, start=200.0)
+        run = session.run(Q1, params=PARAMS, virtual_cluster="vc1",
+                          template_id="t1", now=end)
         assert run.compiled.reused_views >= 1
 
 
 class TestPurgeView:
     def test_purge_view_retracts_annotation_and_lock(self, managed):
-        cv, manager = managed
-        build_views(cv)
-        insights = cv.engine.insights
-        view = next(v for v in sealed_views(cv.engine.view_store)
+        session, manager = managed
+        build_views(session)
+        insights = session.engine.insights
+        view = next(v for v in sealed_views(session.engine.view_store)
                     if v.recurring_signature)
         count = insights.annotation_count()
         insights.acquire_view_lock(view.signature, holder="job-z")
 
-        cv.purge_view(view.signature)
+        session.purge_view(view.signature)
 
-        assert cv.engine.view_store.get(view.signature).purged
+        assert session.engine.view_store.get(view.signature).purged
         assert insights.annotation_count() == count - 1
         assert insights.lock_holder(view.signature) is None
 
@@ -237,18 +244,18 @@ class TestPurgeView:
 class TestKillAndRecover:
     def test_wal_replay_reproduces_digest(self, tmp_path):
         journal_dir = str(tmp_path / "journal")
-        cv = make_cloudviews()
+        session = make_session()
         manager = LifecycleManager(
-            cv.engine, LifecycleConfig(journal_dir=journal_dir))
-        build_views(cv)
-        cv.engine.view_store.purge(
-            sealed_views(cv.engine.view_store)[0].signature)
-        digest = cv.engine.view_store.catalog_digest()
-        counters = cv.engine.view_store.counters()
+            session.engine, LifecycleConfig(journal_dir=journal_dir))
+        build_views(session)
+        session.engine.view_store.purge(
+            sealed_views(session.engine.view_store)[0].signature)
+        digest = session.engine.view_store.catalog_digest()
+        counters = session.engine.view_store.counters()
         lineage = manager.lineage.snapshot()
         # Crash: no close(), no snapshot -- the WAL is all that survives.
 
-        recovered = make_cloudviews()
+        recovered = make_session()
         manager2 = LifecycleManager(
             recovered.engine, LifecycleConfig(journal_dir=journal_dir))
         try:
@@ -262,19 +269,20 @@ class TestKillAndRecover:
 
     def test_snapshot_plus_wal_tail_reproduces_digest(self, tmp_path):
         journal_dir = str(tmp_path / "journal")
-        cv = make_cloudviews()
+        session = make_session()
         manager = LifecycleManager(
-            cv.engine, LifecycleConfig(journal_dir=journal_dir))
-        build_views(cv)
+            session.engine, LifecycleConfig(journal_dir=journal_dir))
+        build_views(session)
         manager.snapshot()
         # Post-snapshot mutations land only in the WAL tail.
-        end = build_views(cv, queries=(QE,), start=100.0)
-        cv.run(Q1, PARAMS, "vc1", template_id="t1", now=end)
-        digest = cv.engine.view_store.catalog_digest()
-        counters = cv.engine.view_store.counters()
+        end = build_views(session, queries=(QE,), start=100.0)
+        session.run(Q1, params=PARAMS, virtual_cluster="vc1",
+                    template_id="t1", now=end)
+        digest = session.engine.view_store.catalog_digest()
+        counters = session.engine.view_store.counters()
         # Crash.
 
-        recovered = make_cloudviews()
+        recovered = make_session()
         manager2 = LifecycleManager(
             recovered.engine, LifecycleConfig(journal_dir=journal_dir))
         try:
@@ -286,10 +294,10 @@ class TestKillAndRecover:
 
     def test_recovered_lineage_still_cascades(self, tmp_path):
         journal_dir = str(tmp_path / "journal")
-        cv = make_cloudviews()
+        session = make_session()
         manager = LifecycleManager(
-            cv.engine, LifecycleConfig(journal_dir=journal_dir))
-        build_views(cv)
+            session.engine, LifecycleConfig(journal_dir=journal_dir))
+        build_views(session)
         dependents = set(manager.lineage.views_reading_dataset("Users"))
         assert dependents
         # Crash, then recover into a *fresh* engine whose catalog has no
@@ -312,11 +320,11 @@ class TestCliGc:
     @pytest.fixture
     def populated_journal(self, tmp_path):
         journal_dir = str(tmp_path / "journal")
-        cv = make_cloudviews()
+        session = make_session()
         manager = LifecycleManager(
-            cv.engine, LifecycleConfig(journal_dir=journal_dir))
-        build_views(cv)
-        store = cv.engine.view_store
+            session.engine, LifecycleConfig(journal_dir=journal_dir))
+        build_views(session)
+        store = session.engine.view_store
         manager.close()
         return journal_dir, store
 

@@ -21,11 +21,10 @@ from repro.catalog import schema_of
 from repro.common.errors import ExecutionError
 from repro.engine import ScopeEngine
 from repro.executor import UdoRegistry
-from repro.insights import (
-    FaultInjector,
-    InsightsClient,
-    InsightsClientConfig,
-)
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
+from repro.faults import points as fault_points
+from repro.faults.runtime import NULL_FAULTS
+from repro.insights import InsightsClient, InsightsClientConfig
 from repro.insights.service import UsageMetrics
 from repro.optimizer.context import Annotation
 from repro.optimizer.rules import apply_rewrites
@@ -48,6 +47,14 @@ SQL = ("SELECT name, SUM(v) AS s FROM T JOIN D "
        "WHERE v > 1 GROUP BY name")
 FAILING_SQL = ("SELECT name, SUM(v) AS s FROM T JOIN D "
                "WHERE v > 1 GROUP BY name PROCESS USING Explode")
+
+
+def rpc_plan(drop=0.0, error=0.0, seed=0):
+    """Drops and errors on the insights serving round trip."""
+    return FaultPlan([FaultSpec(fault_points.INSIGHTS_RPC, kind,
+                                probability=rate)
+                      for kind, rate in (("drop", drop), ("error", error))
+                      if rate], seed=seed)
 
 
 def build_engine(insights=None):
@@ -127,8 +134,8 @@ class TestBreakerUnderFaults:
         config = InsightsClientConfig(
             max_retries=0, breaker_failure_threshold=5,
             breaker_cooldown_fetches=10)
-        injector = FaultInjector(error_rate=1.0)
-        client = InsightsClient(config=config, injector=injector)
+        client = InsightsClient(config=config)
+        client.faults = FaultRuntime(rpc_plan(error=1.0))
         client.publish([Annotation("rec-1", "tag-1")])
         errors = []
 
@@ -149,7 +156,7 @@ class TestBreakerUnderFaults:
         assert client.breaker.state == "open"
         assert "open" in client.breaker.transitions
         # Heal the service and drain the cooldown: closed again.
-        injector.error_rate = 0.0
+        client.faults = NULL_FAULTS
         for _ in range(config.breaker_cooldown_fetches + 1):
             client.fetch_annotations(["tag-1"], now=0.0)
         assert client.breaker.state == "closed"
@@ -163,7 +170,7 @@ class TestBreakerUnderFaults:
             workload,
             ConcurrentSimulationConfig(days=2, workers=8),
             client_config=InsightsClientConfig(max_retries=0),
-            fault_injector=FaultInjector(drop_rate=0.08, error_rate=0.07))
+            faults=rpc_plan(drop=0.08, error=0.07))
         report = simulation.run()
         assert report.jobs > 50
         assert report.failures == 0
@@ -174,10 +181,12 @@ class TestBreakerUnderFaults:
     def test_degraded_jobs_match_baseline_rows(self):
         # A degraded compile must still return correct results -- it just
         # skips reuse.  Compare each faulty-run job against a clean run.
-        def outcomes(injector):
-            engine = build_engine(insights=InsightsClient(
-                config=InsightsClientConfig(max_retries=0, seed=3),
-                injector=injector))
+        def outcomes(plan):
+            client = InsightsClient(
+                config=InsightsClientConfig(max_retries=0, seed=3))
+            if plan is not None:
+                client.faults = FaultRuntime(plan)
+            engine = build_engine(insights=client)
             annotate_shared_join(engine)
             with JobScheduler(engine,
                               SchedulerConfig(workers=8)) as scheduler:
@@ -188,7 +197,7 @@ class TestBreakerUnderFaults:
                         now=float(wave))
             return results
 
-        faulty = outcomes(FaultInjector(drop_rate=0.2, seed=5))
+        faulty = outcomes(rpc_plan(drop=0.2, seed=5))
         clean = outcomes(None)
         assert all(r.ok for r in faulty)
         assert any(r.degraded for r in faulty)

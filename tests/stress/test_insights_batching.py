@@ -3,8 +3,8 @@
 The combining leader/follower scheme must flush each batch exactly once:
 the invariant checked here is that the *service-side* fetch count equals
 the client's ``batch_rounds`` counter when no faults are injected, and
-never exceeds it when the injector is rolling errors (the injector
-raises before the round trip reaches the service).  Every concurrent
+never exceeds it when ``insights.rpc`` faults fire (they fire before
+the round trip reaches the service).  Every concurrent
 caller must come back -- with annotations or degraded-empty -- and none
 may raise.
 """
@@ -13,8 +13,9 @@ import threading
 
 import pytest
 
+from repro.faults import FaultPlan, FaultRuntime, FaultSpec
+from repro.faults import points as fault_points
 from repro.insights import (
-    FaultInjector,
     InsightsClient,
     InsightsClientConfig,
     InsightsService,
@@ -39,6 +40,14 @@ class CountingService(InsightsService):
         with self._count_mutex:
             self.fetch_calls += 1
         return super().fetch_tag_annotations(tags)
+
+
+def rpc_faults(drop=0.0, error=0.0, seed=0):
+    """Drops and errors on the serving round trip, one shared draw."""
+    return FaultRuntime(FaultPlan(
+        [FaultSpec(fault_points.INSIGHTS_RPC, kind, probability=rate)
+         for kind, rate in (("drop", drop), ("error", error)) if rate],
+        seed=seed))
 
 
 def build_client(service, **config_kwargs):
@@ -115,12 +124,12 @@ class TestBatchingUnderFaults:
         client, tags = build_client(
             service, max_retries=2, breaker_failure_threshold=5,
             breaker_cooldown_fetches=4)
-        client.injector = FaultInjector(error_rate=0.2, seed=11)
+        client.faults = rpc_faults(error=0.2, seed=11)
         served, degraded = hammer(client, tags)
         # Every caller completed, with a mix of served and degraded.
         assert served + degraded == THREADS * FETCHES_PER_THREAD
         assert served > 0
-        # The injector raises *before* the service call, so a faulted
+        # The fault fires *before* the service call, so a faulted
         # round counts toward batch_rounds but never reaches the service
         # -- service-side calls can only be <= the rounds started.
         assert service.fetch_calls <= client.batch_rounds
@@ -131,8 +140,7 @@ class TestBatchingUnderFaults:
         client, tags = build_client(
             service, max_retries=1, breaker_failure_threshold=3,
             breaker_cooldown_fetches=2)
-        client.injector = FaultInjector(error_rate=0.15, drop_rate=0.15,
-                                        seed=23)
+        client.faults = rpc_faults(drop=0.15, error=0.15, seed=23)
         served, degraded = hammer(client, tags)
         assert served + degraded == THREADS * FETCHES_PER_THREAD
         assert service.fetch_calls <= client.batch_rounds

@@ -9,6 +9,8 @@ because the floor interpreter is Python 3.10, which predates
 import re
 from pathlib import Path
 
+import pytest
+
 import repro
 
 PYPROJECT = Path(__file__).resolve().parents[2] / "pyproject.toml"
@@ -27,3 +29,17 @@ def test_package_version_matches_pyproject():
 
 def test_version_is_plain_semver():
     assert re.fullmatch(r"\d+\.\d+\.\d+", repro.__version__)
+
+
+def test_version_is_2_0():
+    """2.0 removed the deprecated top-level re-exports."""
+    assert repro.__version__.split(".")[0] == "2"
+
+
+@pytest.mark.parametrize("name", ["CloudViews", "ScopeEngine",
+                                  "WorkloadSimulation", "CompiledJob",
+                                  "JobRun", "FaultInjector"])
+def test_removed_top_level_names_raise_attribute_error(name):
+    assert name not in repro.__all__
+    with pytest.raises(AttributeError):
+        getattr(repro, name)
