@@ -123,7 +123,7 @@ class ExecutionBackend(ABC):
         """Evaluate ``plan`` and persist the result under ``view_id``.
 
         Returns ``(row_count, size_bytes)`` using the same byte
-        accounting as :func:`repro.storage.store._estimate_bytes`.
+        accounting as :func:`repro.storage.store.row_bytes`.
         """
 
     @abstractmethod

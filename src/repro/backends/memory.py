@@ -18,7 +18,7 @@ from repro.executor.udo import UdoRegistry
 from repro.faults import points as fault_points
 from repro.plan.expressions import Row
 from repro.plan.logical import LogicalPlan, Spool, ViewScan
-from repro.storage.store import DataStore, _estimate_bytes
+from repro.storage.store import DataStore
 
 
 class InMemoryBackend(ExecutionBackend):
@@ -72,11 +72,11 @@ class InMemoryBackend(ExecutionBackend):
 
     def materialize_view(self, plan: LogicalPlan, view_id: str):
         self.faults.fire(fault_points.BACKEND_MATERIALIZE)
-        rows = self.executor.execute(plan).rows
+        result = self.executor.execute(plan)
         self.faults.fire(fault_points.BACKEND_MATERIALIZE_MID)
-        size = _estimate_bytes(rows)
-        self.store.put(view_id, rows, row_bytes=size)
-        return len(rows), size
+        size = result.output_bytes
+        self.store.put(view_id, result.rows, size)
+        return len(result.rows), size
 
     def scan_view(self, view_id: str) -> List[Row]:
         self.faults.fire(fault_points.BACKEND_SCAN_VIEW)

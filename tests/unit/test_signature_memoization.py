@@ -1,10 +1,14 @@
-"""Enumeration-cost tests: subexpression enumeration must be O(n).
+"""Signing-cost tests: each plan node is hashed once per salt and form.
 
 Before memoization, ``enumerate_subexpressions`` recomputed every child
 hash at every ancestor, so a chain of n operators cost O(n^2) hash
-invocations.  These tests pin the linear behavior by counting actual
-``stable_hash`` calls.
+invocations, and every standalone ``strict_signature`` call re-hashed its
+whole subtree.  Digests now live on the frozen plan nodes; these tests pin
+that by counting actual ``stable_hash`` calls, and check the memoized
+digests against from-scratch ones.
 """
+
+import dataclasses
 
 import pytest
 
@@ -63,10 +67,49 @@ def test_enumeration_is_root_first():
     assert len(subs) == sum(1 for _ in plan.walk())
 
 
-def test_memoized_signature_equals_unmemoized():
+def fresh_clone(plan):
+    """Like the lint's ``rebuild()``, but the leaves are cloned too: no
+    node of the result has been signed, so its digests are computed from
+    scratch."""
+    if not plan.children():
+        return dataclasses.replace(plan)
+    return plan.with_children([fresh_clone(child)
+                               for child in plan.children()])
+
+
+def test_memoized_signature_equals_unmemoized(hash_counter):
     plan = chain(8)
-    memo = {}
-    assert sig_module._signature(plan, False, "v1", memo) == \
-        strict_signature(plan, "v1")
-    # The memo now answers instantly for every subtree.
-    assert memo[id(plan)] == strict_signature(plan, "v1")
+    strict = {id(node): strict_signature(node, "v1") for node in plan.walk()}
+    recurring = {id(node): recurring_signature(node, "v1")
+                 for node in plan.walk()}
+    for node in plan.walk():
+        clone = fresh_clone(node)
+        before = len(hash_counter)
+        assert strict_signature(clone, "v1") == strict[id(node)]
+        assert recurring_signature(clone, "v1") == recurring[id(node)]
+        # Both digests were really recomputed, one hash per node each.
+        assert len(hash_counter) - before == 2 * sum(1 for _ in node.walk())
+
+
+def test_repeat_signing_hashes_nothing(hash_counter):
+    plan = chain(12)
+    first = strict_signature(plan, "v1")
+    hashed = len(hash_counter)
+    assert hashed == sum(1 for _ in plan.walk())
+    for node in plan.walk():
+        strict_signature(node, "v1")
+    enumerate_subexpressions(plan, salt="v1")  # strict digests all cached
+    assert strict_signature(plan, "v1") == first
+    # Only the recurring digests were new: one per node.
+    assert len(hash_counter) == 2 * hashed
+
+
+def test_same_node_under_two_salts_signs_twice():
+    plan = chain(3)
+    v1 = strict_signature(plan, "v1")
+    v2 = strict_signature(plan, "v2")
+    assert v1 != v2
+    assert recurring_signature(plan, "v1") != recurring_signature(plan, "v2")
+    # Each salt keeps its own digest: asking again returns the same one.
+    assert strict_signature(plan, "v1") == v1
+    assert strict_signature(plan, "v2") == v2
